@@ -1,15 +1,17 @@
 """Core weighted-DAG data structure.
 
-A :class:`DAG` stores a task graph in flat numpy arrays so that the
-schedulers in :mod:`repro.scheduling` never touch per-task Python objects in
-their inner loops:
+A :class:`DAG` stores a task graph in flat numpy arrays:
 
 * ``comp`` — per-task computational cost in seconds on the reference CPU
   (the paper's ``w_v``),
 * edges in COO form (``edge_src``, ``edge_dst``, ``edge_comm``) with the
   communication cost in seconds on the 10 Gb/s reference link (``w_c``),
 * CSR-style adjacency in both directions (``pred_index``/``pred_edges`` and
-  ``succ_index``/``succ_edges``) built once at construction.
+  ``succ_index``/``succ_edges``) built once at construction,
+* a :class:`SchedulePlan` (:attr:`DAG.plan`): the same structure as Python
+  lists plus MCP's task order, for the schedulers' scalar per-task loops.
+  It is built on first use and kept on the instance, so a knee sweep that
+  schedules one DAG on dozens of RC sizes builds it once.
 
 Tasks are identified by integer ids ``0..n-1``.  Construction verifies
 acyclicity and computes a topological order and the per-task *level* (length
@@ -19,16 +21,40 @@ dissertation §III.1.1).
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["DAG", "dag_from_edges"]
+__all__ = ["DAG", "SchedulePlan", "dag_from_edges"]
 
 
 class CycleError(ValueError):
     """Raised when the supplied edge set contains a cycle."""
+
+
+@dataclass(frozen=True)
+class SchedulePlan:
+    """Python-list view of a DAG for the list schedulers' scalar loops.
+
+    Everything here depends on the DAG alone, never on the resource
+    collection, so one plan serves every run on the DAG.  Like the CSR
+    adjacency, it assumes the DAG's arrays are not modified in place after
+    construction (derive a new DAG instead, as :meth:`DAG.with_comm_scaled`
+    does).
+    """
+
+    comp: list[float]
+    in_degree: list[int]
+    #: ``parents[v]``: ``(parent, w_comm)`` per in-edge of ``v``.
+    parents: list[list[tuple[int, float]]]
+    children: list[list[int]]
+    #: MCP's processing order (Fig. IV-2): ascending ALAP, ties by smallest
+    #: child ALAP, then id, released through a ready queue so the order is
+    #: topological even with zero-cost tasks.
+    alap_order: list[int]
 
 
 @dataclass
@@ -209,6 +235,48 @@ class DAG:
                 cand = tl[self.edge_src[ine]] + self.comp[self.edge_src[ine]] + edge_comm[ine]
                 tl[u] = cand.max()
         return tl
+
+    @functools.cached_property
+    def plan(self) -> SchedulePlan:
+        """The :class:`SchedulePlan` of this DAG, built on first access."""
+        src, dst = self.edge_src.tolist(), self.edge_dst.tolist()
+        comm = self.edge_comm.tolist()
+        pred_index, pred_edges = self.pred_index.tolist(), self.pred_edges.tolist()
+        succ_index, succ_edges = self.succ_index.tolist(), self.succ_edges.tolist()
+        parents = [
+            [(src[e], comm[e]) for e in pred_edges[pred_index[v] : pred_index[v + 1]]]
+            for v in range(self.n)
+        ]
+        children = [
+            [dst[e] for e in succ_edges[succ_index[v] : succ_index[v + 1]]]
+            for v in range(self.n)
+        ]
+
+        bl = self.bottom_levels(include_comm=True)
+        alap = bl.max() - bl
+        min_child_alap = np.full(self.n, np.inf)
+        if self.m:
+            np.minimum.at(min_child_alap, self.edge_src, alap[self.edge_dst])
+        key = list(zip(alap.tolist(), min_child_alap.tolist(), range(self.n)))
+        in_degree = self.in_degree.tolist()
+        indeg = list(in_degree)
+        heap = [key[v] for v in range(self.n) if indeg[v] == 0]
+        heapq.heapify(heap)
+        order = []
+        while heap:
+            v = heapq.heappop(heap)[2]
+            order.append(v)
+            for u in children[v]:
+                indeg[u] -= 1
+                if indeg[u] == 0:
+                    heapq.heappush(heap, key[u])
+        return SchedulePlan(
+            comp=self.comp.tolist(),
+            in_degree=in_degree,
+            parents=parents,
+            children=children,
+            alap_order=order,
+        )
 
     def critical_path_length(self, include_comm: bool = True) -> float:
         """Length of the critical path ``CP`` (node + edge weights)."""

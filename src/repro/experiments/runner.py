@@ -56,6 +56,10 @@ __all__ = ["run_chapter4", "run_chapter5", "run_chapter6", "run_chapter7", "main
 #: Bump when a model/training change invalidates cached trained models.
 MODELS_CACHE_VERSION = "1"
 
+#: Models already trained or loaded in this process, by their cache key, so
+#: chapters VI and VII share one training even with the on-disk cache off.
+_MODELS: dict[tuple, tuple[SizePredictionModel, HeuristicPredictionModel]] = {}
+
 
 def _models(
     scale: Scale,
@@ -63,9 +67,22 @@ def _models(
     cache_dir: str | None = DEFAULT_CACHE_DIR,
     jobs: int | None = None,
 ) -> tuple[SizePredictionModel, HeuristicPredictionModel]:
-    """Train (or load from the on-disk cache) both prediction models."""
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    """Train (or load from the on-disk cache) both prediction models, once
+    per process."""
     key = (MODELS_CACHE_VERSION, scale.name, scale.size_grid, scale.heuristic_grid, seed)
+    if key not in _MODELS:
+        _MODELS[key] = _train_or_load_models(scale, seed, key, cache_dir, jobs)
+    return _MODELS[key]
+
+
+def _train_or_load_models(
+    scale: Scale,
+    seed: int,
+    key: tuple,
+    cache_dir: str | None,
+    jobs: int | None,
+) -> tuple[SizePredictionModel, HeuristicPredictionModel]:
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
     if cache is not None:
         payload = cache.get("models", key)
         if payload is not MISS:

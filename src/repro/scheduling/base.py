@@ -1,21 +1,35 @@
 """Shared machinery for the list schedulers.
 
-The inner loops are vectorised over hosts: for each task we build the
-length-``p`` array of earliest finish times and argmin it.  A fast path
-exploits homogeneous networks (the common case in Ch. V): the data-ready
-time is then identical on every host except the parents' own hosts, so one
-O(p) pass plus O(indeg) corrections suffice.
+A run threads one :class:`SchedulerState` through a heuristic.  The
+per-task work is a scalar Python scan: host availability and each task's
+host/start/finish live in Python lists (frozen into arrays by
+:meth:`SchedulerState.result`), and each task reads its parents from the
+DAG's cached :attr:`~repro.dag.graph.DAG.plan`.  The host counts are small
+(mostly ``p < 32`` in the knee sweeps), where per-call numpy overhead would
+cost more than the arithmetic it vectorises.
+
+On a *homogeneous network* (every ``comm_factor`` entry equal, as in every
+RC of the knee sweeps) one rule gives every host's data-ready time: a host
+holding some of the task's parents is ready at ``max(latest local parent
+finish, latest remote arrival from the other hosts' parents, 0)``; every
+other host is ready at the latest remote arrival.  :meth:`best_finish_host`
+then scans ``max(avail, ready) + comp / speed`` over the hosts with a
+strict ``<``, which keeps the first index on ties as ``np.argmin`` does.
+A *heterogeneous network* (multi-cluster platform RCs, ``p`` in the
+hundreds) keeps a numpy path: each parent adds one length-``p`` arrival
+row.  Both paths give the same floats as evaluating every (parent, host)
+pair directly.
 
 Operation counts (``Schedule.ops``) are *analytic*, reflecting the paper's
 implementation complexity (e.g. MCP examines every host for every task:
-``(indeg + 1) * p`` per task), not the vectorised shortcuts used here — see
+``(indeg + 1) * p`` per task), not the shortcuts used here — see
 :mod:`repro.scheduling.costmodel`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,126 +78,143 @@ class Schedule:
         return int(np.unique(self.host).size)
 
 
-@dataclass
 class SchedulerState:
-    """Mutable state threaded through a scheduling run."""
+    """Mutable state threaded through a scheduling run.
 
-    dag: DAG
-    rc: ResourceCollection
-    avail: np.ndarray = field(init=False)
-    host: np.ndarray = field(init=False)
-    finish: np.ndarray = field(init=False)
-    start: np.ndarray = field(init=False)
-    ops: float = 0.0
+    ``avail[h]`` is when host ``h`` frees up; ``host``/``start``/``finish``
+    record each placed task (``-1``/NaN until placed).  All four are Python
+    lists; ``ops`` accumulates the analytic operation count.
+    """
 
-    def __post_init__(self) -> None:
-        p = self.rc.n_hosts
-        self.avail = np.zeros(p, dtype=np.float64)
-        self.host = np.full(self.dag.n, -1, dtype=np.int64)
-        self.finish = np.full(self.dag.n, np.nan, dtype=np.float64)
-        self.start = np.full(self.dag.n, np.nan, dtype=np.float64)
-        self._homog_net = bool(np.all(self.rc.comm_factor == self.rc.comm_factor.flat[0]))
-        self._net_factor = float(self.rc.comm_factor.flat[0])
+    def __init__(self, dag: DAG, rc: ResourceCollection) -> None:
+        self.dag = dag
+        self.rc = rc
+        plan = dag.plan
+        self._comp = plan.comp
+        self._parents = plan.parents
+        self._speed = rc.speed.tolist()
+        self.avail = [0.0] * rc.n_hosts
+        self.host = [-1] * dag.n
+        self.start = [math.nan] * dag.n
+        self.finish = [math.nan] * dag.n
+        self.ops = 0.0
+        comm = rc.comm_factor
+        if bool(np.all(comm == comm.flat[0])):
+            self._net: float | None = float(comm.flat[0])
+        else:
+            self._net = None
+            self._cluster = rc.cluster.tolist()
+            self._comm = comm.tolist()
 
     # ------------------------------------------------------------------
+    def _homog_ready(self, v: int) -> tuple[float, int, float]:
+        """Data-ready times of ``v`` on a homogeneous network.
+
+        Returns ``(remote, h1, ready1)``: host ``h1`` is ready at
+        ``ready1`` and every other host at ``remote``, the latest remote
+        arrival.  The rule gives a host holding some of the parents
+        ``max(latest local finish, latest arrival from the other hosts'
+        parents, 0)``; for every such host except the one holding the
+        latest arrival that is ``remote`` itself, since a parent's local
+        finish never exceeds its remote arrival.
+        """
+        parents = self._parents[v]
+        if not parents:
+            return 0.0, -1, 0.0
+        finish, host, net = self.finish, self.host, self._net
+        arrivals = [finish[u] + w * net for u, w in parents]
+        remote = max(arrivals)
+        h1 = host[parents[arrivals.index(remote)][0]]
+        local = other = -math.inf
+        for (u, _), r in zip(parents, arrivals):
+            if host[u] == h1:
+                if finish[u] > local:
+                    local = finish[u]
+            elif r > other:
+                other = r
+        return remote, h1, max(local, other, 0.0)
+
+    def _ready_array(self, v: int) -> np.ndarray:
+        """Data-ready times of ``v`` on every host of a heterogeneous network."""
+        rc = self.rc
+        ready = np.zeros(rc.n_hosts, dtype=np.float64)
+        finish, host, cluster = self.finish, self.host, self._cluster
+        for u, w in self._parents[v]:
+            hu = host[u]
+            contrib = finish[u] + w * rc.comm_factor[cluster[hu]][rc.cluster]
+            contrib[hu] = finish[u]
+            np.maximum(ready, contrib, out=ready)
+        return ready
+
     def data_ready_all_hosts(self, v: int) -> np.ndarray:
         """Earliest time task ``v``'s inputs are present on each host."""
-        dag, rc = self.dag, self.rc
-        p = rc.n_hosts
-        in_edges = dag.in_edges(v)
-        if in_edges.size == 0:
-            return np.zeros(p, dtype=np.float64)
-        parents = dag.edge_src[in_edges]
-        pfin = self.finish[parents]
-        wcomm = dag.edge_comm[in_edges]
-        phosts = self.host[parents]
-        if self._homog_net:
-            # On every host the ready time is max over parents of the
-            # remote arrival, except on hosts holding parents where those
-            # parents' transfers are free.  Group parents by host and use
-            # the top-2 trick for "max excluding this host's group".
-            remote = pfin + wcomm * self._net_factor
-            ready = np.full(p, remote.max())
-            order = np.argsort(phosts, kind="stable")
-            ph_sorted = phosts[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(ph_sorted[1:] != ph_sorted[:-1]) + 1)
-            )
-            g_remote = np.maximum.reduceat(remote[order], starts)
-            g_local = np.maximum.reduceat(pfin[order], starts)
-            hosts_unique = ph_sorted[starts]
-            i1 = int(g_remote.argmax())
-            m1 = float(g_remote[i1])
-            if g_remote.size > 1:
-                m2 = float(np.delete(g_remote, i1).max())
-            else:
-                m2 = -np.inf
-            for idx in range(hosts_unique.size):
-                off = m2 if idx == i1 else m1
-                ready[hosts_unique[idx]] = max(float(g_local[idx]), off, 0.0)
-            return ready
-        ready = np.zeros(p, dtype=np.float64)
-        clusters = rc.cluster
-        for k in range(parents.size):
-            row = rc.comm_factor[clusters[phosts[k]]][clusters]
-            contrib = pfin[k] + wcomm[k] * row
-            contrib[phosts[k]] = pfin[k]
-            np.maximum(ready, contrib, out=ready)
+        if self._net is None:
+            return self._ready_array(v)
+        remote, h1, ready1 = self._homog_ready(v)
+        ready = np.full(self.rc.n_hosts, remote)
+        if h1 >= 0:
+            ready[h1] = ready1
         return ready
 
     def data_ready_on_host(self, v: int, h: int) -> float:
         """Earliest time task ``v``'s inputs are present on host ``h``."""
-        dag, rc = self.dag, self.rc
-        in_edges = dag.in_edges(v)
-        if in_edges.size == 0:
-            return 0.0
-        parents = dag.edge_src[in_edges]
-        pfin = self.finish[parents]
-        wcomm = dag.edge_comm[in_edges]
-        phosts = self.host[parents]
-        same = phosts == h
-        t = pfin[same].max() if same.any() else 0.0
-        if (~same).any():
-            if self._homog_net:
-                factors = np.full(int((~same).sum()), self._net_factor)
-            else:
-                factors = rc.comm_factor[rc.cluster[phosts[~same]], rc.cluster[h]]
-            t = max(t, float((pfin[~same] + wcomm[~same] * factors).max()))
-        return float(t)
+        if self._net is not None:
+            remote, h1, ready1 = self._homog_ready(v)
+            return ready1 if h == h1 else remote
+        finish, host, cluster = self.finish, self.host, self._cluster
+        to_h = [row[cluster[h]] for row in self._comm]
+        t = 0.0
+        for u, w in self._parents[v]:
+            hu = host[u]
+            arrival = finish[u] if hu == h else finish[u] + w * to_h[cluster[hu]]
+            if arrival > t:
+                t = arrival
+        return t
 
     def place(self, v: int, h: int, start: float) -> None:
         """Commit task ``v`` to host ``h`` at ``start`` (non-preemptive)."""
-        w = self.dag.comp[v] / self.rc.speed[h]
+        end = start + self._comp[v] / self._speed[h]
         self.host[v] = h
         self.start[v] = start
-        self.finish[v] = start + w
-        self.avail[h] = start + w
+        self.finish[v] = end
+        self.avail[h] = end
 
     def best_finish_host(self, v: int) -> tuple[int, float]:
-        """Host minimising the finish time of ``v`` (MCP's rule)."""
-        ready = self.data_ready_all_hosts(v)
-        start = np.maximum(ready, self.avail)
-        fin = start + self.dag.comp[v] / self.rc.speed
-        h = int(fin.argmin())
-        return h, float(start[h])
+        """Host minimising the finish time of ``v`` (MCP's rule); returns
+        ``(host, start)``, the first host on ties."""
+        c = self._comp[v]
+        avail = self.avail
+        if self._net is None:
+            start = np.maximum(self._ready_array(v), avail)
+            fin = start + c / self.rc.speed
+            h = int(fin.argmin())
+            return h, float(start[h])
+        remote, h1, ready1 = self._homog_ready(v)
+        fin = [(a if a > remote else remote) + c / s for a, s in zip(avail, self._speed)]
+        if h1 >= 0:
+            a = avail[h1]
+            fin[h1] = (a if a > ready1 else ready1) + c / self._speed[h1]
+        h = fin.index(min(fin))
+        a, r = avail[h], (ready1 if h == h1 else remote)
+        return h, (a if a > r else r)
 
     def best_start_host(self, v: int) -> tuple[int, float]:
         """Host minimising the start time of ``v`` (greedy's rule)."""
-        ready = self.data_ready_all_hosts(v)
-        start = np.maximum(ready, self.avail)
+        start = np.maximum(self.data_ready_all_hosts(v), self.avail)
         h = int(start.argmin())
         return h, float(start[h])
 
     def result(self, heuristic: str) -> Schedule:
         """Freeze the state into a :class:`Schedule`."""
-        if np.any(self.host < 0):  # pragma: no cover - defensive
+        if min(self.host) < 0:  # pragma: no cover - defensive
             raise SchedulerError("not all tasks were scheduled")
         return Schedule(
             heuristic=heuristic,
-            host=self.host,
-            start=self.start,
-            finish=self.finish,
-            ops=self.ops,
+            host=np.array(self.host, dtype=np.int64),
+            start=np.array(self.start, dtype=np.float64),
+            finish=np.array(self.finish, dtype=np.float64),
+            # The count has always been a numpy float; keep its type.
+            ops=np.float64(self.ops),
             n_hosts=self.rc.n_hosts,
         )
 

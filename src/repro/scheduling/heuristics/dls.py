@@ -37,21 +37,31 @@ def _batch_scheduler(
     """
     state = SchedulerState(dag, rc)
     p = rc.n_hosts
+    plan = dag.plan
     sl = dag.bottom_levels(include_comm=False)
     mean_exec = dag.comp * float(np.mean(1.0 / rc.speed))
 
-    indeg = dag.in_degree.copy()
-    ready: set[int] = {int(v) for v in dag.entry_nodes}
-    n_left = dag.n
-    while n_left:
+    # A ready task's data-ready and execution times are fixed once its
+    # parents are placed; only host availability moves between steps.
+    ready: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def release(v: int) -> None:
+        ready[v] = (state.data_ready_all_hosts(v), dag.comp[v] / rc.speed)
+
+    indeg = list(plan.in_degree)
+    for v in range(dag.n):
+        if indeg[v] == 0:
+            release(v)
+    while ready:
+        avail = np.array(state.avail)
         best_score = -np.inf
         best_task = -1
         best_host = -1
         best_start = 0.0
         for v in sorted(ready):
-            est = np.maximum(state.data_ready_all_hosts(v), state.avail)
-            state.ops += (dag.in_degree[v] + 1) * p
-            exec_times = dag.comp[v] / rc.speed
+            data_ready, exec_times = ready[v]
+            est = np.maximum(data_ready, avail)
+            state.ops += (plan.in_degree[v] + 1) * p
             if pick == "dls":
                 scores = sl[v] - est + (mean_exec[v] - exec_times)
             else:  # minmin: lower completion is better
@@ -65,12 +75,11 @@ def _batch_scheduler(
                 best_host = h
                 best_start = float(est[h])
         state.place(best_task, best_host, best_start)
-        ready.discard(best_task)
-        n_left -= 1
-        for u in dag.children(best_task):
+        del ready[best_task]
+        for u in plan.children[best_task]:
             indeg[u] -= 1
             if indeg[u] == 0:
-                ready.add(int(u))
+                release(u)
     return state.result(name)
 
 

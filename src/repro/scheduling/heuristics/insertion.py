@@ -15,8 +15,6 @@ execution order is the order of start times.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.dag.graph import DAG
@@ -61,26 +59,18 @@ def schedule_mcp_insertion(dag: DAG, rc: ResourceCollection) -> Schedule:
     state = SchedulerState(dag, rc)
     p = rc.n_hosts
     timelines = [_HostTimeline() for _ in range(p)]
+    plan = dag.plan
+    speed = rc.speed.tolist()
 
-    bl = dag.bottom_levels(include_comm=True)
-    alap = bl.max() - bl
-    min_child_alap = np.full(dag.n, np.inf)
-    if dag.m:
-        np.minimum.at(min_child_alap, dag.edge_src, alap[dag.edge_dst])
     state.ops += dag.m + dag.n * log2ceil(dag.n)
-
-    indeg = dag.in_degree.copy()
-    heap = [(float(alap[v]), float(min_child_alap[v]), int(v)) for v in dag.entry_nodes]
-    heapq.heapify(heap)
-    while heap:
-        _, _, v = heapq.heappop(heap)
-        ready = state.data_ready_all_hosts(v)
+    for v in plan.alap_order:
+        ready = state.data_ready_all_hosts(v).tolist()
         best_h = -1
         best_start = 0.0
         best_finish = np.inf
         for h in range(p):
-            duration = dag.comp[v] / rc.speed[h]
-            start = timelines[h].earliest_start(float(ready[h]), duration)
+            duration = plan.comp[v] / speed[h]
+            start = timelines[h].earliest_start(ready[h], duration)
             finish = start + duration
             if finish < best_finish:
                 best_h, best_start, best_finish = h, start, finish
@@ -91,9 +81,5 @@ def schedule_mcp_insertion(dag: DAG, rc: ResourceCollection) -> Schedule:
         state.finish[v] = best_finish
         timelines[best_h].occupy(best_start, best_finish)
         state.avail[best_h] = max(state.avail[best_h], best_finish)
-        state.ops += (dag.in_degree[v] + 1) * p
-        for u in dag.children(v):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(heap, (float(alap[u]), float(min_child_alap[u]), int(u)))
+        state.ops += (plan.in_degree[v] + 1) * p
     return state.result("mcp_insertion")

@@ -8,7 +8,9 @@
    standard O(n log n) simplification — smallest child ALAP, then node id —
    and process nodes through a ready-queue so the order is always
    topologically valid even with zero-cost tasks (see DESIGN.md,
-   "Documented algorithmic reconstructions").
+   "Documented algorithmic reconstructions").  The order depends on the
+   DAG alone, so it is computed once per DAG (``DAG.plan.alap_order``) and
+   reused by every run of a knee sweep.
 4. Each node goes to the host that *completes* its execution soonest,
    accounting for data arrival from every parent (end-of-queue insertion).
 
@@ -20,10 +22,6 @@ that grows the scheduling time with RC size (Fig. V-3).
 """
 
 from __future__ import annotations
-
-import heapq
-
-import numpy as np
 
 from repro.dag.graph import DAG
 from repro.resources.collection import ResourceCollection
@@ -37,35 +35,10 @@ def schedule_mcp(dag: DAG, rc: ResourceCollection) -> Schedule:
     """Schedule ``dag`` on ``rc`` with MCP."""
     state = SchedulerState(dag, rc)
     p = rc.n_hosts
-
-    bl = dag.bottom_levels(include_comm=True)
-    cp = bl.max()
-    alap = cp - bl
-
-    # Tie-break key: smallest ALAP among children (first element of the
-    # descendant ALAP list after the node's own).
-    min_child_alap = np.full(dag.n, np.inf)
-    if dag.m:
-        np.minimum.at(min_child_alap, dag.edge_src, alap[dag.edge_dst])
-
+    plan = dag.plan  # the ALAP order does not depend on the RC
     state.ops += dag.m + dag.n * log2ceil(dag.n)
-
-    indeg = dag.in_degree.copy()
-    heap: list[tuple[float, float, int]] = [
-        (float(alap[v]), float(min_child_alap[v]), int(v)) for v in dag.entry_nodes
-    ]
-    heapq.heapify(heap)
-    scheduled = 0
-    while heap:
-        _, _, v = heapq.heappop(heap)
+    for v in plan.alap_order:
         h, start = state.best_finish_host(v)
         state.place(v, h, start)
-        state.ops += (dag.in_degree[v] + 1) * p
-        scheduled += 1
-        for u in dag.children(v):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(heap, (float(alap[u]), float(min_child_alap[u]), int(u)))
-    if scheduled != dag.n:  # pragma: no cover - DAG guarantees acyclicity
-        raise RuntimeError("MCP failed to schedule all tasks")
+        state.ops += (plan.in_degree[v] + 1) * p
     return state.result("mcp")

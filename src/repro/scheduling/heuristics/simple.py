@@ -43,11 +43,13 @@ def _run_ready_queue(
     """Shared engine: pop ready tasks by (ready_time, priority, id), let
     ``choose_host(state, task, ready_time)`` pick the host, place tightly."""
     state = SchedulerState(dag, rc)
+    plan = dag.plan
     p = rc.n_hosts
-    indeg = dag.in_degree.copy()
-    dep_ready = np.zeros(dag.n, dtype=np.float64)  # max parent finish
+    priority = priority.tolist()
+    indeg = list(plan.in_degree)
+    dep_ready = [0.0] * dag.n  # max parent finish
     heap: list[tuple[float, float, int]] = [
-        (0.0, float(priority[v]), int(v)) for v in dag.entry_nodes
+        (0.0, priority[v], v) for v in range(dag.n) if indeg[v] == 0
     ]
     heapq.heapify(heap)
     while heap:
@@ -55,15 +57,19 @@ def _run_ready_queue(
         h = choose_host(state, v, t_ready)
         start = max(state.avail[h], state.data_ready_on_host(v, h))
         state.place(v, h, start)
-        state.ops += dag.in_degree[v] + log2ceil(p)
-        for e in dag.out_edges(v):
-            u = int(dag.edge_dst[e])
+        state.ops += plan.in_degree[v] + log2ceil(p)
+        for u in plan.children[v]:
             dep_ready[u] = max(dep_ready[u], state.finish[v])
             indeg[u] -= 1
             if indeg[u] == 0:
-                heapq.heappush(heap, (float(dep_ready[u]), float(priority[u]), u))
+                heapq.heappush(heap, (dep_ready[u], priority[u], u))
     state.ops += extra_ops
     return state.result(name)
+
+
+def _first_min(values: list[float]) -> int:
+    """Index of the first minimum (``np.argmin``'s tie rule)."""
+    return values.index(min(values))
 
 
 @register_scheduler("greedy")
@@ -71,7 +77,7 @@ def schedule_greedy(dag: DAG, rc: ResourceCollection) -> Schedule:
     """Simple greedy (Fig. IV-3): earliest-available host, readiness order."""
 
     def choose(state: SchedulerState, v: int, t: float) -> int:
-        return int(state.avail.argmin())
+        return _first_min(state.avail)
 
     return _run_ready_queue(dag, rc, "greedy", np.zeros(dag.n), choose)
 
@@ -83,10 +89,10 @@ def schedule_fcfs(dag: DAG, rc: ResourceCollection) -> Schedule:
     # already orders by (ready time, priority, id); priority 0 gives FIFO.
 
     def choose(state: SchedulerState, v: int, t: float) -> int:
-        idle = np.flatnonzero(state.avail <= t)
-        if idle.size:
-            return int(idle[0])
-        return int(state.avail.argmin())
+        for h, a in enumerate(state.avail):
+            if a <= t:
+                return h
+        return _first_min(state.avail)
 
     return _run_ready_queue(dag, rc, "fcfs", np.zeros(dag.n), choose)
 
@@ -95,18 +101,17 @@ def schedule_fcfs(dag: DAG, rc: ResourceCollection) -> Schedule:
 def schedule_fca(dag: DAG, rc: ResourceCollection) -> Schedule:
     """FCA (Fig. V-14): fastest available host, static-level task order."""
     sl = dag.bottom_levels(include_comm=False)
-    speed = rc.speed
+    speed = rc.speed.tolist()
 
     def choose(state: SchedulerState, v: int, t: float) -> int:
-        idle = state.avail <= t
-        if idle.any():
-            masked = np.where(idle, speed, -np.inf)
-            return int(masked.argmax())
-        # No idle host: earliest available, fastest on ties.
-        start = state.avail
-        best = start.min()
-        tied = np.flatnonzero(start == best)
-        return int(tied[speed[tied].argmax()])
+        avail = state.avail
+        # The fastest idle host; if none is idle, the fastest of the
+        # earliest-available ones.  First index on ties either way.
+        idle = [h for h, a in enumerate(avail) if a <= t]
+        if not idle:
+            best = min(avail)
+            idle = [h for h, a in enumerate(avail) if a == best]
+        return max(idle, key=speed.__getitem__)
 
     # Higher static level = more critical = earlier; heap pops smallest.
     extra = dag.n * log2ceil(dag.n) + dag.m
@@ -117,9 +122,9 @@ def schedule_fca(dag: DAG, rc: ResourceCollection) -> Schedule:
 def schedule_random(dag: DAG, rc: ResourceCollection, seed: int = 0) -> Schedule:
     """Uniformly random host per task (the Pegasus-style baseline)."""
     rng = np.random.default_rng(seed)
-    hosts = rng.integers(0, rc.n_hosts, size=dag.n)
+    hosts = rng.integers(0, rc.n_hosts, size=dag.n).tolist()
 
     def choose(state: SchedulerState, v: int, t: float) -> int:
-        return int(hosts[v])
+        return hosts[v]
 
     return _run_ready_queue(dag, rc, "random", np.zeros(dag.n), choose)

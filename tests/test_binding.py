@@ -145,13 +145,17 @@ def test_concurrent_try_bind_never_double_binds(small_platform, requests, n_work
     binder = Binder(small_platform)
     owners: dict[int, list[int]] = {}
     owners_lock = threading.Lock()
-    barrier = threading.Barrier(min(n_workers, len(requests)))
+    # The pool runs the requests in rounds of n_workers; one barrier per
+    # round, sized to it, makes every request of a round race the others.
+    # A broken barrier fails the test instead of letting requests run
+    # unsynchronised.
+    barriers = [
+        threading.Barrier(len(requests[i : i + n_workers]))
+        for i in range(0, len(requests), n_workers)
+    ]
 
     def worker(wid: int, hosts: set[int]) -> None:
-        try:
-            barrier.wait(timeout=5)
-        except threading.BrokenBarrierError:
-            pass
+        barriers[wid // n_workers].wait(timeout=5)
         if binder.try_bind(np.array(sorted(hosts))) == []:
             with owners_lock:
                 for h in hosts:

@@ -288,3 +288,25 @@ def test_runner_prunes_stale_cache_tmp_files(monkeypatch, tmp_path):
         == 0
     )
     assert not stale.exists()
+
+
+def test_chapters_6_and_7_train_once_and_print_identical_tables(monkeypatch, capsys):
+    # With the on-disk cache off, chapter VII reuses chapter VI's models
+    # from the in-process memo, and prints exactly what it prints when it
+    # trains its own: chapter VI leaves nothing behind in the shared models.
+    from repro.experiments.scales import get_scale
+
+    scale = get_scale("smoke")
+    monkeypatch.setattr(runner, "_MODELS", {})
+    runner.run_chapter6(scale, cache_dir=None, jobs=1)
+    assert "[training] size model on grid" in capsys.readouterr().out
+    runner.run_chapter7(scale, cache_dir=None, jobs=1)
+    shared = capsys.readouterr().out
+    assert "[training]" not in shared
+
+    monkeypatch.setattr(runner, "_MODELS", {})
+    runner.run_chapter7(scale, cache_dir=None, jobs=1)
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert any(line.startswith("[training] size model on grid") for line in lines)
+    # The training lines carry wall-clock durations; everything else must match.
+    assert shared == "".join(line for line in lines if not line.startswith("[training]"))
